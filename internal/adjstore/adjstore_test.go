@@ -1,9 +1,14 @@
 package adjstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
 )
@@ -125,5 +130,34 @@ func TestReadAccountedSequential(t *testing.T) {
 	}
 	if d.Bytes[diskio.RandRead] != 0 {
 		t.Fatalf("RandRead = %d, want 0 (push edge reads are charged sequential)", d.Bytes[diskio.RandRead])
+	}
+}
+
+// TestNoneLayoutIsEdgeStream pins the raw on-disk layout: under codec
+// none, adj.dat is exactly the partition's edge records — dst u32 then
+// weight f32 bits, little-endian, vertex by vertex — with no frame,
+// index or footer.
+func TestNoneLayoutIsEdgeStream(t *testing.T) {
+	g := testGraph(t)
+	part := graph.Partition{Lo: 1, Hi: 6}
+	path := filepath.Join(t.TempDir(), "adj.dat")
+	s, err := Build(path, &diskio.Counter{}, g, part, codec.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	var want []byte
+	for v := part.Lo; v < part.Hi; v++ {
+		for _, h := range g.OutEdges(v) {
+			want = binary.LittleEndian.AppendUint32(want, uint32(h.Dst))
+			want = binary.LittleEndian.AppendUint32(want, math.Float32bits(h.Weight))
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("adj.dat = %x\nwant      %x", got, want)
 	}
 }

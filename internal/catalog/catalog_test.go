@@ -248,3 +248,40 @@ func TestCrashedIngestLeavesNoEntry(t *testing.T) {
 		t.Fatalf("re-ingest after crash: %v", err)
 	}
 }
+
+// TestNoneManifestCRCsPinned pins the raw store layout from the catalog's
+// side: ingesting a fixed graph under codec none must publish store
+// files with exactly these sizes and CRC32s. Any change to the on-disk
+// format under none — a frame, an index, a reordered record — moves a
+// checksum here.
+func TestNoneManifestCRCsPinned(t *testing.T) {
+	c, err := Open(filepath.Join(t.TempDir(), "catalog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Ingest("pinned", graph.GenRMAT(2000, 24000, 0.57, 0.19, 0.19, 17), 3, 2, "none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]FileSum{
+		"graph.el":       {Size: 436124, CRC32: 0x6f48675f},
+		"w0/adj.dat":     {Size: 135560, CRC32: 0x54f58816},
+		"w0/veblock.dat": {Size: 152408, CRC32: 0x28a2a33b},
+		"w1/adj.dat":     {Size: 41960, CRC32: 0xfcee740d},
+		"w1/veblock.dat": {Size: 52200, CRC32: 0x8e6c8600},
+		"w2/adj.dat":     {Size: 14480, CRC32: 0x096ca231},
+		"w2/veblock.dat": {Size: 20352, CRC32: 0x07dfd928},
+	}
+	m := e.Manifest()
+	if m.Codec != "" || m.IngestWriteBytes != 416960 {
+		t.Fatalf("manifest codec %q, ingest write bytes %d; want none, 416960", m.Codec, m.IngestWriteBytes)
+	}
+	if len(m.Files) != len(want) {
+		t.Fatalf("manifest lists %d files, want %d", len(m.Files), len(want))
+	}
+	for name, sum := range want {
+		if got := m.Files[name]; got != sum {
+			t.Errorf("%s: size %d crc %08x, want size %d crc %08x", name, got.Size, got.CRC32, sum.Size, sum.CRC32)
+		}
+	}
+}

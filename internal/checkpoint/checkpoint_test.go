@@ -1,10 +1,15 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
@@ -188,5 +193,55 @@ func TestRemoveReportsErrors(t *testing.T) {
 	}
 	if err := c.Remove(3, 1); err != nil {
 		t.Fatalf("Remove of missing files must be clean, got %v", err)
+	}
+}
+
+// TestNoneSnapshotIsRawImage pins the raw on-disk layout: under codec
+// none a worker snapshot is exactly "HGCK", version u32, the payload and
+// the payload's CRC32 — no codec frame — with the payload fields in
+// their documented little-endian order.
+func TestNoneSnapshotIsRawImage(t *testing.T) {
+	s := &Snapshot{Step: 4, Worker: 1,
+		Records:  []vertexfile.Record{{ID: 12, OutDeg: 3, Val: 0.25, Bcast: [2]float64{1, -2}}},
+		Respond:  [2][]uint64{{5}, nil},
+		Active:   [2][]uint64{nil, {0x10}},
+		BlockRes: [2][]bool{{true, false}, nil},
+		Pending:  [2][]comm.Msg{{{Dst: 12, Val: 1.5}}, nil},
+	}
+	le := binary.LittleEndian
+	f64 := func(b []byte, v float64) []byte { return le.AppendUint64(b, math.Float64bits(v)) }
+	var p []byte
+	p = le.AppendUint32(p, 1) // worker snapshot
+	p = le.AppendUint32(p, 4)
+	p = le.AppendUint32(p, 1)
+	p = le.AppendUint32(p, 1) // one record
+	p = le.AppendUint32(p, 12)
+	p = le.AppendUint32(p, 3)
+	p = f64(p, 0.25)
+	p = f64(p, 1)
+	p = f64(p, -2)
+	p = le.AppendUint64(le.AppendUint32(p, 1), 5) // Respond[0]
+	p = le.AppendUint32(p, 0)                     // Respond[1]
+	p = le.AppendUint32(p, 0)                     // Active[0]
+	p = le.AppendUint64(le.AppendUint32(p, 1), 0x10)
+	p = append(le.AppendUint32(p, 2), 1, 0) // BlockRes[0]
+	p = le.AppendUint32(p, 0)               // BlockRes[1]
+	p = f64(le.AppendUint32(le.AppendUint32(p, 1), 12), 1.5)
+	p = le.AppendUint32(p, 0) // Pending[1]
+	want := append([]byte("HGCK"), 1, 0, 0, 0)
+	want = append(want, p...)
+	want = le.AppendUint32(want, crc32.ChecksumIEEE(p))
+
+	path := filepath.Join(t.TempDir(), "snap.dat")
+	n, err := WriteSnapshot(path, &diskio.Counter{}, s, codec.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || n != int64(len(want)) {
+		t.Fatalf("snapshot (%d bytes reported) = %x\nwant %x", n, got, want)
 	}
 }

@@ -1,6 +1,10 @@
 package msglog
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -198,5 +202,52 @@ func TestConcurrentAppends(t *testing.T) {
 		if _, ok, err := l.PullResp(3, g, rct); err != nil || !ok {
 			t.Fatalf("block %d: ok=%v err=%v", g, ok, err)
 		}
+	}
+}
+
+// TestNoneSegmentIsRecordStream pins the raw on-disk layout: under codec
+// none a segment is exactly its records in append order —
+// kind(1) step(4) key(4) count(4) count×[dst(4) val(8)] crc(4), all
+// little-endian — with no frame around any of them.
+func TestNoneSegmentIsRecordStream(t *testing.T) {
+	l, _ := openTest(t)
+	type rec struct {
+		kind Kind
+		key  uint32
+		msgs []comm.Msg
+	}
+	recs := []rec{
+		{KindPush, 2, []comm.Msg{{Dst: 1, Val: 0.5}, {Dst: 9, Val: -3}}},
+		{KindPullResp, 7, []comm.Msg{{Dst: 4, Val: 7}}},
+		{KindPush, 0, nil},
+	}
+	var want []byte
+	for _, r := range recs {
+		var err error
+		if r.kind == KindPush {
+			err = l.AppendPush(3, int(r.key), r.msgs)
+		} else {
+			err = l.AppendPullResp(3, int(r.key), r.msgs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := len(want)
+		want = append(want, byte(r.kind))
+		want = binary.LittleEndian.AppendUint32(want, 3)
+		want = binary.LittleEndian.AppendUint32(want, r.key)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(r.msgs)))
+		for _, m := range r.msgs {
+			want = binary.LittleEndian.AppendUint32(want, uint32(m.Dst))
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(m.Val))
+		}
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want[start:]))
+	}
+	got, err := os.ReadFile(l.SegmentPath(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment = %x\nwant      %x", got, want)
 	}
 }

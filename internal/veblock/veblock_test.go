@@ -1,10 +1,14 @@
 package veblock
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
 )
@@ -308,5 +312,33 @@ func TestBFSReorderingReducesFragments(t *testing.T) {
 	fs, fo := frags(scrambled), frags(ordered)
 	if fo >= fs {
 		t.Fatalf("BFS ordering should reduce fragments: scrambled %d, ordered %d", fs, fo)
+	}
+}
+
+// TestNoneLayoutIsAssembledImage pins the raw on-disk layout: under
+// codec none, each worker's veblock.dat is exactly the image assemble
+// builds — fragments back to back, no frame, index or footer.
+func TestNoneLayoutIsAssembledImage(t *testing.T) {
+	g := graph.GenRMAT(300, 2400, 0.57, 0.19, 0.19, 5)
+	l := mkLayout(t, g.NumVertices, 3, 2)
+	dir := t.TempDir()
+	for w := 0; w < 3; w++ {
+		path := filepath.Join(dir, fmt.Sprintf("veblock-w%d.dat", w))
+		s, err := Build(path, &diskio.Counter{}, g, l, w, codec.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		_, want, err := assemble(g, l, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("worker %d: veblock.dat (%d bytes) differs from the assembled image (%d bytes)", w, len(got), len(want))
+		}
 	}
 }
