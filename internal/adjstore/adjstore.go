@@ -18,20 +18,9 @@ import (
 
 const edgeSize = 8 // dst uint32 + weight float32
 
-// blockReader is the store's file abstraction: a raw accounted File
-// (codec "none") or a compressed codec.BlockFile, which charges the
-// identical logical bytes and puts its frame I/O on the counter's
-// physical twin.
-type blockReader interface {
-	ReadAtClass(p []byte, off int64, c diskio.Class) (int, error)
-	Size() (int64, error)
-	SetCounter(*diskio.Counter)
-	Close() error
-}
-
 // Store holds the out-edges of one worker's vertex range [Lo, Lo+N).
 type Store struct {
-	f      blockReader
+	f      *codec.BlockFile
 	lo     graph.VertexID
 	offs   []int64 // len N+1, byte offsets into the file
 	nEdges int64
@@ -40,9 +29,8 @@ type Store struct {
 
 // Build writes the adjacency runs for partition part of g to path and
 // returns the opened store. The write is one sequential pass, mirroring
-// the paper's Fig. 16 "adj" loading path; under a non-trivial codec the
-// same pass is stored as compressed chunk frames with the logical
-// charge unchanged.
+// the paper's Fig. 16 "adj" loading path; cdc chooses how the pass is
+// stored (see codec.BlockWriter), never what it is charged.
 func Build(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition, cdc codec.Codec) (*Store, error) {
 	n := part.Len()
 	s := &Store{lo: part.Lo, offs: make([]int64, n+1)}
@@ -62,28 +50,14 @@ func Build(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition
 		}
 	}
 	s.offs[n] = off
-	if !codec.IsNone(cdc) {
-		if err := codec.WriteBlockFile(path, ct, cdc, buf); err != nil {
-			return nil, err
-		}
-		bf, err := codec.OpenBlockFile(path, ct)
-		if err != nil {
-			return nil, err
-		}
-		s.f = bf
-		return s, nil
+	if err := codec.WriteBlockFile(path, ct, cdc, buf); err != nil {
+		return nil, err
 	}
-	f, err := diskio.Create(path, ct)
+	f, err := codec.OpenBlockFile(path, ct, cdc)
 	if err != nil {
 		return nil, err
 	}
 	s.f = f
-	if len(buf) > 0 {
-		if _, err := f.WriteAtClass(buf, 0, diskio.SeqWrite); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -99,7 +73,7 @@ func BuildReverse(path string, ct *diskio.Counter, g *graph.Graph, part graph.Pa
 // function of (g, part), so the catalog need not persist it. The file size
 // must match the index; deeper integrity is the manifest CRC's job.
 func Open(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition, cdc codec.Codec) (*Store, error) {
-	f, err := openReader(path, ct, cdc)
+	f, err := codec.OpenBlockFile(path, ct, cdc)
 	if err != nil {
 		return nil, err
 	}
@@ -123,14 +97,6 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition,
 		return nil, fmt.Errorf("adjstore: %s is %d bytes, index expects %d", path, size, off)
 	}
 	return s, nil
-}
-
-// openReader opens path as a raw file or a compressed block file.
-func openReader(path string, ct *diskio.Counter, cdc codec.Codec) (blockReader, error) {
-	if codec.IsNone(cdc) {
-		return diskio.OpenRead(path, ct)
-	}
-	return codec.OpenBlockFile(path, ct)
 }
 
 // SizeBytes reports the store's edge-run bytes (the on-disk file size for

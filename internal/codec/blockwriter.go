@@ -7,18 +7,32 @@ import (
 	"hybridgraph/internal/diskio"
 )
 
-// BlockWriter streams a block file to disk without holding the logical
-// image in memory: logical bytes are staged up to ChunkSize, each full
-// chunk is emitted as one frame, and Close appends the chunk index and
-// footer. The output is byte-identical to WriteBlockFile over the same
-// logical stream — same chunk boundaries, index frame, footer, and the
-// same single whole-image logical charge — so builders that used to
-// buffer a store can switch to streaming without disturbing manifests,
-// CRCs or accounting.
+// charges splits a store's accounting under codec c. acct takes every
+// logical charge; fileCt is what the store's real file handles charge.
+// Under none the file is the logical byte stream itself, so acct
+// mirrors each charge onto ct's physical twin and the handles charge
+// nothing. Under a real codec acct charges ct alone and the handles'
+// frame I/O lands on the twin.
+func charges(ct *diskio.Counter, c Codec) (acct *diskio.Accountant, fileCt *diskio.Counter) {
+	if IsNone(c) {
+		return diskio.NewMirroredAccountant(ct), nil
+	}
+	return diskio.NewAccountant(ct), ct.Phys()
+}
+
+// BlockWriter streams a write-once store (adjacency runs, a VE-BLOCK
+// image) to disk without holding the logical image in memory. Logical
+// bytes are staged up to ChunkSize. Under codec none each full chunk is
+// written as is, so the file is exactly the logical byte stream. Under
+// a real codec each chunk becomes one frame, and Close appends the chunk
+// index and footer. Either way the logical charge is one sequential
+// write of the whole image, taken at Close, and nothing at all for an
+// empty image.
 type BlockWriter struct {
 	f       *diskio.File
-	ct      *diskio.Counter
+	acct    *diskio.Accountant
 	c       Codec
+	raw     bool
 	buf     []byte // staged logical bytes, < ChunkSize after flush
 	frame   []byte
 	lens    []uint32 // physical frame length per chunk
@@ -27,25 +41,32 @@ type BlockWriter struct {
 	closed  bool
 }
 
-// NewBlockWriter creates (truncating) a block file at path. As with
-// WriteBlockFile, physical frame I/O lands on ct's physical twin and the
-// logical charge is taken once, at Close.
+// NewBlockWriter creates (truncating) a block file at path, charging
+// ct through c's accounting split.
 func NewBlockWriter(path string, ct *diskio.Counter, c Codec) (*BlockWriter, error) {
-	f, err := diskio.Create(path, diskio.PhysFor(ct))
-	if err != nil {
-		return nil, err
-	}
 	if c == nil {
 		c = None
 	}
-	return &BlockWriter{f: f, ct: ct, c: c, buf: make([]byte, 0, ChunkSize)}, nil
+	acct, fileCt := charges(ct, c)
+	f, err := diskio.Create(path, fileCt)
+	if err != nil {
+		return nil, err
+	}
+	return &BlockWriter{f: f, acct: acct, c: c, raw: IsNone(c)}, nil
 }
 
-// Write stages logical bytes, flushing a frame per completed ChunkSize
-// chunk. Implements io.Writer.
+// Write stages logical bytes, flushing each completed ChunkSize chunk.
+// Under none a write that finds nothing staged and spans at least one
+// chunk goes to disk in one piece. Implements io.Writer.
 func (w *BlockWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("codec: write to closed block writer %s", w.f.Name())
+	}
+	if w.raw && len(w.buf) == 0 && len(p) >= ChunkSize {
+		return len(p), w.emit(p)
+	}
+	if w.buf == nil {
+		w.buf = make([]byte, 0, ChunkSize)
 	}
 	n := len(p)
 	for len(p) > 0 {
@@ -65,14 +86,26 @@ func (w *BlockWriter) Write(p []byte) (int, error) {
 }
 
 func (w *BlockWriter) flushChunk() error {
-	w.frame = AppendFrame(w.frame[:0], w.c, w.buf)
-	if _, err := w.f.WriteAtClass(w.frame, w.physOff, diskio.SeqWrite); err != nil {
+	if err := w.emit(w.buf); err != nil {
 		return err
 	}
-	w.lens = append(w.lens, uint32(len(w.frame)))
-	w.physOff += int64(len(w.frame))
-	w.logical += int64(len(w.buf))
 	w.buf = w.buf[:0]
+	return nil
+}
+
+// emit writes one logical run: verbatim under none, as one frame
+// otherwise.
+func (w *BlockWriter) emit(logical []byte) error {
+	out := stored(w.frame, w.c, logical)
+	if !w.raw {
+		w.frame = out
+		w.lens = append(w.lens, uint32(len(out)))
+	}
+	if _, err := w.f.WriteAtClass(out, w.physOff, diskio.SeqWrite); err != nil {
+		return err
+	}
+	w.physOff += int64(len(out))
+	w.logical += int64(len(logical))
 	return nil
 }
 
@@ -80,10 +113,9 @@ func (w *BlockWriter) flushChunk() error {
 func (w *BlockWriter) Logical() int64 { return w.logical + int64(len(w.buf)) }
 
 // Close flushes the final partial chunk, writes the index frame and
-// footer, and takes the whole-image logical charge. A writer that never
-// received a byte leaves an empty file, exactly like WriteBlockFile on
-// an empty image. Close is not idempotent-safe for further Writes but
-// may be called once on any writer.
+// footer of a framed file, and takes the whole-image logical charge. A
+// writer that never received a byte leaves an empty file and charges
+// nothing. Further Writes fail; a second Close is a no-op.
 func (w *BlockWriter) Close() error {
 	if w.closed {
 		return nil
@@ -98,6 +130,18 @@ func (w *BlockWriter) Close() error {
 	if w.logical == 0 {
 		return nil
 	}
+	if !w.raw {
+		if err := w.writeIndex(); err != nil {
+			return err
+		}
+	}
+	w.acct.WriteAtClass(w.logical, 0, diskio.SeqWrite)
+	return nil
+}
+
+// writeIndex appends the chunk index frame (codec none) and the footer
+// locating it.
+func (w *BlockWriter) writeIndex() error {
 	index := make([]byte, 0, 4+4*len(w.lens))
 	index = binary.LittleEndian.AppendUint32(index, uint32(len(w.lens)))
 	for _, l := range w.lens {
@@ -111,9 +155,6 @@ func (w *BlockWriter) Close() error {
 	footer = append(footer, footerMagic...)
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(w.physOff))
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(w.logical))
-	if _, err := w.f.WriteAtClass(footer, w.physOff+int64(len(indexFrame)), diskio.SeqWrite); err != nil {
-		return err
-	}
-	diskio.NewAccountant(w.ct).WriteAtClass(w.logical, 0, diskio.SeqWrite)
-	return nil
+	_, err := w.f.WriteAtClass(footer, w.physOff+int64(len(indexFrame)), diskio.SeqWrite)
+	return err
 }

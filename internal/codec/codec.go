@@ -1,15 +1,24 @@
-// Package codec is the pluggable block-codec subsystem for every
-// on-disk structure the engine writes: adjacency runs, VE-BLOCK
-// fragments, message spills, msglog segments and checkpoint snapshots.
+// Package codec is the one storage I/O path for every on-disk structure
+// the engine writes: adjacency runs and VE-BLOCK fragments (BlockWriter,
+// BlockFile), message spills (SpillFile), msglog segments (AppendFile)
+// and checkpoint snapshots (WriteFileSync, ReadFile). The stores call
+// these types whatever the codec; this package alone knows that codec
+// "none" means the raw layout — the file is exactly the logical byte
+// stream — while "delta" and "lz" store compressed frames.
 //
 // The design splits byte accounting into two dimensions. The *logical*
 // bytes are the paper's cost model — Eqs. (7)/(8), the Q^t switch
 // inputs, the trace-vs-stats cross-checks — and are computed exactly as
-// if every structure were stored raw, whatever codec is active. The
-// *physical* bytes are what actually hits the disk: compressed frames,
-// charged to a parallel physical counter (diskio.Counter.Phys). A codec
-// therefore never changes a job's logical statistics or its final
-// values; it only shrinks the physical dimension.
+// if every structure were stored raw and accessed record by record,
+// whatever codec is active and however the real I/O is batched: every
+// logical charge goes through a diskio.Accountant. The *physical* bytes
+// are what actually hits the disk. Under none they are the logical
+// bytes, so the Accountant mirrors each charge onto the counter's
+// physical twin (diskio.Counter.Phys) and the real file handles charge
+// nothing. Under a real codec the Accountant charges the logical counter
+// alone and the real frame I/O is charged to the twin. A codec therefore
+// never changes a job's logical statistics or its final values; it only
+// shrinks the physical dimension.
 //
 // Every compressed block is wrapped in a self-describing frame:
 //
@@ -45,10 +54,6 @@ const (
 	FrameOverhead = HeaderSize + 4 // plus trailing CRC32
 	MaxBlockLen   = 1<<31 - 1      // lengths are u32; keep int-safe
 	magic         = "HGCB"
-	// FrameMagic is the frame prefix, exported so readers of
-	// self-describing files (checkpoint snapshots) can sniff whether a
-	// file is codec-framed before deciding how to charge the read.
-	FrameMagic = magic
 )
 
 // ErrCorrupt is the typed sentinel every decode failure wraps: bad

@@ -172,7 +172,7 @@ func TestBlockFileRoundtrip(t *testing.T) {
 				t.Fatalf("write: logical %v != raw-store %v", ct.Snapshot(), rawCt.Snapshot())
 			}
 
-			b, err := OpenBlockFile(path, &ct)
+			b, err := OpenBlockFile(path, &ct, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func TestBlockFileCorruptionTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rc diskio.Counter
-		b, err := OpenBlockFile(path, &rc)
+		b, err := OpenBlockFile(path, &rc, c)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnknown) {
 				t.Fatalf("flip at %d: open error not typed: %v", off, err)

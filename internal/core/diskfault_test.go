@@ -60,18 +60,20 @@ func TestDiskFaultSweepByteIdenticalOrTyped(t *testing.T) {
 	}
 }
 
-// TestDiskFaultPowerCutFailsTyped cuts power at the Nth mutating disk op:
-// the job must fail — nothing written after the cut ever reaches disk —
-// and the error must match both the fault sentinel and IsPowerCut.
+// TestDiskFaultPowerCutFailsTyped cuts power halfway through the job's
+// mutating disk ops: the job must fail — nothing written after the cut
+// ever reaches disk — and the error must match both the fault sentinel
+// and IsPowerCut.
 func TestDiskFaultPowerCutFailsTyped(t *testing.T) {
 	g := graph.GenRMAT(300, 2200, 0.57, 0.19, 0.19, 11)
-	cfg := Config{Workers: 3, MsgBuf: 80, MaxSteps: 5,
-		FaultPlan: faultplan.NewPlan().WithDisk(diskio.FaultConfig{
-			Seed: 7, PowerCutAfter: 40,
-		})}
+	cfg := Config{Workers: 3, MsgBuf: 80, MaxSteps: 5}
+	cut := midJobOp(t, g, cfg, Push)
+	cfg.FaultPlan = faultplan.NewPlan().WithDisk(diskio.FaultConfig{
+		Seed: 7, PowerCutAfter: cut,
+	})
 	_, err := Run(g, algo.NewPageRank(0.85), cfg, Push)
 	if err == nil {
-		t.Fatal("job survived a simulated power cut")
+		t.Fatalf("job survived a simulated power cut at mutating op %d", cut)
 	}
 	if !errors.Is(err, diskio.ErrDiskFault) {
 		t.Fatalf("power-cut error does not match ErrDiskFault: %v", err)
@@ -79,6 +81,25 @@ func TestDiskFaultPowerCutFailsTyped(t *testing.T) {
 	if !diskio.IsPowerCut(err) {
 		t.Fatalf("IsPowerCut false for: %v", err)
 	}
+}
+
+// midJobOp runs PageRank fault-free under a counting injector installed
+// over a fresh TMPDIR, where the job keeps its files, and returns half
+// the mutating disk ops it made: a power cut there lands mid-job
+// however the stores batch their writes.
+func midJobOp(t *testing.T, g *graph.Graph, cfg Config, e Engine) int64 {
+	t.Helper()
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	fs := diskio.NewFaultFS(diskio.FaultConfig{})
+	diskio.Install(dir, fs)
+	defer diskio.Uninstall(dir)
+	runOne(t, g, algo.NewPageRank(0.85), cfg, e)
+	ops := fs.Stats().Ops
+	if ops < 2 {
+		t.Fatalf("fault-free job made %d mutating disk ops; nothing to cut", ops)
+	}
+	return ops / 2
 }
 
 // TestCheckpointFaultAbandonsAttempt forces every fsync to fail: each

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -70,9 +69,13 @@ func (ct *Counter) Add(c Class, n int64) { ct.AddDev(c, n, n) }
 // physical twin is attached (SetPhys), the same charge is mirrored into
 // it: for uncompressed files the bytes that hit the device *are* the
 // logical bytes, so the physical dimension tracks charge-for-charge.
-// Compressed stores instead charge logical bytes through an Accountant
-// (which does not mirror) and let their real frame I/O land on the twin.
+// Compressed stores instead charge logical bytes through a plain
+// Accountant (which does not mirror) and let their real frame I/O land
+// on the twin. A nil counter records nothing.
 func (ct *Counter) AddDev(c Class, n, dev int64) {
+	if ct == nil {
+		return
+	}
 	ct.addDev(c, n, dev)
 	if p := ct.phys.Load(); p != nil {
 		p.addDev(c, n, dev)
@@ -81,6 +84,9 @@ func (ct *Counter) AddDev(c Class, n, dev int64) {
 
 // addDev is the raw, non-mirroring tally update.
 func (ct *Counter) addDev(c Class, n, dev int64) {
+	if ct == nil {
+		return
+	}
 	ct.bytes[c].Add(n)
 	ct.dev[c].Add(dev)
 	ct.ops[c].Add(1)
@@ -90,19 +96,14 @@ func (ct *Counter) addDev(c Class, n, dev int64) {
 // (on-device) dimension. Passing nil detaches it.
 func (ct *Counter) SetPhys(p *Counter) { ct.phys.Store(p) }
 
-// Phys reports the attached physical twin, or nil.
-func (ct *Counter) Phys() *Counter { return ct.phys.Load() }
-
-// PhysFor resolves where a store's real compressed-frame I/O should be
-// charged: ct's physical twin when one is attached, otherwise a
-// throwaway counter so callers that never wired a twin (unit tests,
-// one-off tools) keep exact logical accounting and simply drop the
-// physical dimension.
-func PhysFor(ct *Counter) *Counter {
-	if p := ct.Phys(); p != nil {
-		return p
+// Phys reports the attached physical twin, or nil. A store's real
+// compressed-frame I/O is charged there; a nil twin (unit tests, one-off
+// tools) simply drops the physical dimension.
+func (ct *Counter) Phys() *Counter {
+	if ct == nil {
+		return nil
 	}
-	return &Counter{}
+	return ct.phys.Load()
 }
 
 // DevBytes reports accumulated device bytes of class c.
@@ -197,18 +198,16 @@ func (s Snapshot) String() string {
 		s.Bytes[SeqRead], s.Bytes[SeqWrite])
 }
 
-// File wraps an *os.File with class-tagged accounting. All stores in the
-// repository perform their I/O through File so that the per-worker Counter
-// sees every byte.
+// File wraps an *os.File with class-tagged accounting. Every charge it
+// makes goes through a mirrored Accountant on its counter; a File opened
+// with a nil counter does real I/O and charges nothing, which is how
+// stores whose charges are replayed by their own Accountant hold their
+// handles.
 type File struct {
-	f        *os.File
-	path     string
-	fs       *FaultFS // fault injector covering path, or nil
-	ct       *Counter
-	mu       sync.Mutex
-	seqPos   int64 // next offset that still counts as sequential
-	lastPage int64 // most recently touched page, for device-byte accounting
-	created  bool
+	f    *os.File
+	path string
+	fs   *FaultFS // fault injector covering path, or nil
+	acct *Accountant
 }
 
 // Create creates (truncating) an accounted file.
@@ -224,36 +223,24 @@ func Create(path string, ct *Counter) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{f: f, path: path, fs: fs, ct: ct, created: true, lastPage: -1}, nil
+	return &File{f: f, path: path, fs: fs, acct: NewMirroredAccountant(ct)}, nil
 }
 
 // Open opens an existing file for accounted reading and writing.
 func Open(path string, ct *Counter) (*File, error) {
-	path = filepath.Clean(path)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	fs := injectorFor(path)
-	if fs != nil {
-		var size int64
-		if st, serr := f.Stat(); serr == nil {
-			size = st.Size()
-		}
-		if err := fs.open(path, size); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return &File{f: f, path: path, fs: fs, ct: ct, lastPage: -1}, nil
+	return open(path, os.O_RDWR, ct)
 }
 
 // OpenRead opens an existing file for accounted read-only access. Catalog
 // stores are shared by concurrent jobs and must never be written, so the
 // OS-level permission backs up the convention.
 func OpenRead(path string, ct *Counter) (*File, error) {
+	return open(path, os.O_RDONLY, ct)
+}
+
+func open(path string, flag int, ct *Counter) (*File, error) {
 	path = filepath.Clean(path)
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, flag, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +255,7 @@ func OpenRead(path string, ct *Counter) (*File, error) {
 			return nil, err
 		}
 	}
-	return &File{f: f, path: path, fs: fs, ct: ct, lastPage: -1}, nil
+	return &File{f: f, path: path, fs: fs, acct: NewMirroredAccountant(ct)}, nil
 }
 
 // pread performs the device read, routed through the fault injector when
@@ -295,55 +282,13 @@ func (af *File) pwrite(p []byte, off int64, c Class) (int, error) {
 	return n, nil
 }
 
-// guessClass predicts the sequential/random classification account()
-// will assign, for fault-error annotation before the write happens.
-func (af *File) guessClass(off int64, randC, seqC Class) Class {
-	af.mu.Lock()
-	seq := off == af.seqPos || (off == 0 && af.seqPos == 0)
-	af.mu.Unlock()
-	if seq {
-		return seqC
-	}
-	return randC
-}
-
-// devCharge computes the device bytes an access moves and records the page
-// position. Sequential classes transfer what they read; random classes
-// transfer whole pages, except repeated touches of the most recent page
-// (b-pull's svertex reads ascend within an Eblock scan and so coalesce,
-// while the pull baseline's scattered misses each pay a page — the
-// mechanism behind Fig. 10's orders-of-magnitude gap). Callers hold af.mu.
-func (af *File) devCharge(off, n int64, c Class) int64 {
-	if n <= 0 {
-		return 0
-	}
-	first := off / PageSize
-	last := (off + n - 1) / PageSize
-	if c == SeqRead || c == SeqWrite {
-		af.lastPage = last
-		return n
-	}
-	var dev int64
-	for p := first; p <= last; p++ {
-		if p != af.lastPage {
-			dev += PageSize
-		}
-		af.lastPage = p
-	}
-	return dev
-}
-
 // Name reports the underlying file path.
 func (af *File) Name() string { return af.f.Name() }
 
 // SetCounter retargets accounting to a different counter. The stores are
 // built under a worker's loading counter (Fig. 16 reports loading cost
 // separately) and then retargeted to its computation counter.
-func (af *File) SetCounter(ct *Counter) {
-	af.mu.Lock()
-	af.ct = ct
-	af.mu.Unlock()
-}
+func (af *File) SetCounter(ct *Counter) { af.acct.SetCounter(ct) }
 
 // Close closes the underlying file. Closing does not sync: bytes
 // written but never Synced are still lost to a simulated power cut.
@@ -367,10 +312,7 @@ func (af *File) Sync() error {
 		err = &Error{Op: "sync", Path: af.path, Kind: KindIO, Err: serr}
 	}
 	if err == nil {
-		af.mu.Lock()
-		ct := af.ct
-		af.mu.Unlock()
-		ct.AddDev(SeqWrite, 0, 0)
+		af.acct.Sync()
 	}
 	return err
 }
@@ -390,15 +332,15 @@ func (af *File) Size() (int64, error) {
 // matches how the paper reasons about Eblock scans (sequential) versus
 // svertex lookups (random).
 func (af *File) ReadAt(p []byte, off int64) (int, error) {
-	n, err := af.pread(p, off, af.guessClass(off, RandRead, SeqRead))
-	af.account(off, int64(n), RandRead, SeqRead)
+	n, err := af.pread(p, off, af.acct.classify(off, RandRead, SeqRead))
+	af.acct.chargeAuto(int64(n), off, RandRead, SeqRead)
 	return n, err
 }
 
 // WriteAt writes p at off with automatic sequential/random classification.
 func (af *File) WriteAt(p []byte, off int64) (int, error) {
-	n, err := af.pwrite(p, off, af.guessClass(off, RandWrite, SeqWrite))
-	af.account(off, int64(n), RandWrite, SeqWrite)
+	n, err := af.pwrite(p, off, af.acct.classify(off, RandWrite, SeqWrite))
+	af.acct.chargeAuto(int64(n), off, RandWrite, SeqWrite)
 	return n, err
 }
 
@@ -409,12 +351,7 @@ func (af *File) WriteAt(p []byte, off int64) (int, error) {
 // over destination vertices is poor).
 func (af *File) ReadAtClass(p []byte, off int64, c Class) (int, error) {
 	n, err := af.pread(p, off, c)
-	af.mu.Lock()
-	af.seqPos = off + int64(n)
-	dev := af.devCharge(off, int64(n), c)
-	ct := af.ct
-	af.mu.Unlock()
-	ct.AddDev(c, int64(n), dev)
+	af.acct.ReadAtClass(int64(n), off, c)
 	return n, err
 }
 
@@ -423,42 +360,13 @@ func (af *File) ReadAtClass(p []byte, off int64, c Class) (int, error) {
 // scans keep one Vblock's pages hot) use it to coalesce page transfers.
 func (af *File) ReadAtClassDev(p []byte, off int64, c Class, dev int64) (int, error) {
 	n, err := af.pread(p, off, c)
-	af.mu.Lock()
-	af.seqPos = off + int64(n)
-	if n > 0 {
-		af.lastPage = (off + int64(n) - 1) / PageSize
-	}
-	ct := af.ct
-	af.mu.Unlock()
-	ct.AddDev(c, int64(n), dev)
+	af.acct.chargeDev(int64(n), off, c, dev)
 	return n, err
 }
 
 // WriteAtClass writes with an explicit class.
 func (af *File) WriteAtClass(p []byte, off int64, c Class) (int, error) {
 	n, err := af.pwrite(p, off, c)
-	af.mu.Lock()
-	af.seqPos = off + int64(n)
-	dev := af.devCharge(off, int64(n), c)
-	ct := af.ct
-	af.mu.Unlock()
-	ct.AddDev(c, int64(n), dev)
+	af.acct.WriteAtClass(int64(n), off, c)
 	return n, err
-}
-
-func (af *File) account(off, n int64, randC, seqC Class) {
-	af.mu.Lock()
-	seq := off == af.seqPos || (off == 0 && af.seqPos == 0)
-	af.seqPos = off + n
-	c := randC
-	if seq {
-		c = seqC
-	}
-	dev := af.devCharge(off, n, c)
-	ct := af.ct
-	af.mu.Unlock()
-	if n <= 0 {
-		return
-	}
-	ct.AddDev(c, n, dev)
 }

@@ -407,6 +407,14 @@ func (fs *FaultFS) readAt(path string, f *os.File, p []byte, off int64, class st
 	}
 	fs.mu.Unlock()
 	n, err := f.ReadAt(p, off)
+	fs.mu.Lock()
+	cut := fs.cut
+	fs.mu.Unlock()
+	if cut {
+		// Power went out while the read was in flight: it may have seen a
+		// file mid-rollback (truncated, say) and its bytes mean nothing.
+		return 0, fs.notify(&Error{Op: "read", Path: path, Class: class, Kind: KindPowerCut})
+	}
 	if flip && bit/8 < n {
 		p[bit/8] ^= 1 << (bit % 8)
 		// Silent corruption: the reader gets no error — only CRC framing

@@ -232,12 +232,12 @@ func (b *builder) mergeA(n int, parts []graph.Partition, layout *veblock.Layout,
 		return err
 	}
 
-	openAdj := func(w int) (storeWriter, error) {
+	openAdj := func(w int) (*codec.BlockWriter, error) {
 		wdir := filepath.Join(b.o.Dir, fmt.Sprintf("w%d", w))
 		if err := os.MkdirAll(wdir, 0o755); err != nil {
 			return nil, err
 		}
-		return newStoreWriter(filepath.Join(wdir, "adj.dat"), b.o.LayoutCT, b.o.Codec)
+		return codec.NewBlockWriter(filepath.Join(wdir, "adj.dat"), b.o.LayoutCT, b.o.Codec)
 	}
 	cur := 0
 	aw, err := openAdj(0)
@@ -356,8 +356,8 @@ func (b *builder) mergeB(layout *veblock.Layout, sb *sorter) error {
 	}
 	defer it.close()
 
-	openVE := func(w int) (storeWriter, error) {
-		return newStoreWriter(filepath.Join(b.o.Dir, fmt.Sprintf("w%d", w), "veblock.dat"),
+	openVE := func(w int) (*codec.BlockWriter, error) {
+		return codec.NewBlockWriter(filepath.Join(b.o.Dir, fmt.Sprintf("w%d", w), "veblock.dat"),
 			b.o.LayoutCT, b.o.Codec)
 	}
 	cur := 0
@@ -440,66 +440,4 @@ func (b *builder) mergeB(layout *veblock.Layout, sb *sorter) error {
 		}
 	}
 	return nil
-}
-
-// storeWriter is the streaming store sink: a raw accounted file or a
-// codec BlockWriter, both charged as one sequential logical write.
-type storeWriter interface {
-	io.Writer
-	Close() error
-}
-
-func newStoreWriter(path string, ct *diskio.Counter, cdc codec.Codec) (storeWriter, error) {
-	if !codec.IsNone(cdc) {
-		return codec.NewBlockWriter(path, ct, cdc)
-	}
-	f, err := diskio.Create(path, ct)
-	if err != nil {
-		return nil, err
-	}
-	return &rawStoreWriter{f: f, buf: make([]byte, 0, 32<<10)}, nil
-}
-
-type rawStoreWriter struct {
-	f   *diskio.File
-	buf []byte
-	off int64
-}
-
-func (w *rawStoreWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		take := cap(w.buf) - len(w.buf)
-		if take > len(p) {
-			take = len(p)
-		}
-		w.buf = append(w.buf, p[:take]...)
-		p = p[take:]
-		if len(w.buf) == cap(w.buf) {
-			if err := w.flush(); err != nil {
-				return n - len(p), err
-			}
-		}
-	}
-	return n, nil
-}
-
-func (w *rawStoreWriter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if _, err := w.f.WriteAtClass(w.buf, w.off, diskio.SeqWrite); err != nil {
-		return err
-	}
-	w.off += int64(len(w.buf))
-	w.buf = w.buf[:0]
-	return nil
-}
-
-func (w *rawStoreWriter) Close() error {
-	err := w.flush()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -152,7 +152,7 @@ func sortRecs(recs []rec) {
 func (s *sorter) writeRun(recs []rec) (string, error) {
 	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, s.seq))
 	s.seq++
-	f, err := diskio.Create(path, diskio.PhysFor(s.ct))
+	f, err := diskio.Create(path, s.ct.Phys())
 	if err != nil {
 		return "", err
 	}
@@ -218,7 +218,7 @@ func (s *sorter) mergeToFile(runs []string) (string, error) {
 	}
 	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, s.seq))
 	s.seq++
-	f, err := diskio.Create(path, diskio.PhysFor(s.ct))
+	f, err := diskio.Create(path, s.ct.Phys())
 	if err != nil {
 		it.close()
 		return "", err
@@ -292,7 +292,7 @@ type runReader struct {
 }
 
 func openRun(path string, ct *diskio.Counter) (*runReader, error) {
-	f, err := diskio.OpenRead(path, diskio.PhysFor(ct))
+	f, err := diskio.OpenRead(path, ct.Phys())
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,13 @@
 // messages across destination vertices is the I/O problem the whole paper
 // attacks — and read back sequentially at the start of the next superstep
 // (the 2·IO(M_disk) term of Eq. 7, split across srw and ssr exactly as
-// Eq. 11 splits it). An OnlineInbox adds MOCgraph's message online
-// computing: messages for a configured hot set of vertices are folded into
-// an in-memory accumulator immediately and never touch disk.
+// Eq. 11 splits it). That charge is the cost model, not the real I/O: a
+// codec.SpillFile charges each spilled message as its own random write
+// through its Accountant, and writes the records to disk in SpillChunk
+// runs, raw or framed as the codec decides. An OnlineInbox adds MOCgraph's
+// message online computing: messages for a configured hot set of vertices
+// are folded into an in-memory accumulator immediately and never touch
+// disk.
 package msgstore
 
 import (
@@ -74,50 +78,13 @@ func SortLists(m map[graph.VertexID][]float64, p int) {
 	wg.Wait()
 }
 
-// spillFile is the spill backend: the raw accounted file, or a
-// compressed codec.SpillFile charging identical logical bytes while
-// staging compressed frames on the counter's physical twin. Records are
-// appended in arrival order either way; ReadAll reassembles the full
-// record stream.
-type spillFile interface {
-	Append(rec []byte) error
-	ReadAll(p []byte) error
-	Close() error
-}
-
-// rawSpill is the codec-"none" backend, preserving the historical
-// charge sequence exactly: one random write per record at the record's
-// offset, one sequential whole-file read at drain.
-type rawSpill struct {
-	f   *diskio.File
-	off int64
-}
-
-func (r *rawSpill) Append(rec []byte) error {
-	_, err := r.f.WriteAtClass(rec, r.off, diskio.RandWrite)
-	if err == nil {
-		r.off += int64(len(rec))
-	}
-	return err
-}
-
-func (r *rawSpill) ReadAll(p []byte) error {
-	_, err := r.f.ReadAtClass(p, 0, diskio.SeqRead)
-	return err
-}
-
-func (r *rawSpill) Close() error { return r.f.Close() }
-
 // Inbox is one worker's receive buffer for one superstep's incoming
 // messages. Safe for concurrent Add from multiple senders.
 type Inbox struct {
 	mu       sync.Mutex
-	ct       *diskio.Counter
-	cdc      codec.Codec
-	path     string
 	capacity int // B_i in messages; <= 0 means unlimited (sufficient memory)
 	mem      []comm.Msg
-	spill    spillFile
+	spill    *codec.SpillFile
 	spillN   int64
 	received int64
 	maxMem   int64
@@ -141,7 +108,7 @@ func (b *Inbox) SetMetrics(reg *obs.Registry) {
 // disk-resident vertices reside on disk"). The spill file is created
 // lazily; cdc selects its on-disk encoding (nil or codec.None = raw).
 func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *Inbox {
-	return &Inbox{ct: ct, cdc: cdc, path: path, capacity: capacity}
+	return &Inbox{capacity: capacity, spill: codec.NewSpillFile(path, ct, cdc)}
 }
 
 // Add accepts one message. Beyond capacity the message is spilled with
@@ -171,23 +138,13 @@ func (b *Inbox) AddAll(msgs []comm.Msg) error {
 }
 
 func (b *Inbox) spillMsg(m comm.Msg) error {
-	if b.spill == nil {
-		if codec.IsNone(b.cdc) {
-			f, err := diskio.Create(b.path, b.ct)
-			if err != nil {
-				return err
-			}
-			b.spill = &rawSpill{f: f}
-		} else {
-			b.spill = codec.NewSpillFile(b.path, b.ct, b.cdc)
-		}
-	}
 	var rec [recSize]byte
 	binary.LittleEndian.PutUint32(rec[0:], uint32(m.Dst))
 	binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(m.Val))
 	// Charged as a random write: Giraph's spilled messages have no
 	// destination locality, which is what makes push I/O-inefficient
-	// (Section 1, "expensive random writes").
+	// (Section 1, "expensive random writes"). The real write is batched
+	// by the spill file.
 	if err := b.spill.Append(rec[:]); err != nil {
 		return err
 	}
@@ -227,7 +184,7 @@ func (b *Inbox) Drain() (map[graph.VertexID][]float64, error) {
 	for _, m := range b.mem {
 		out[m.Dst] = append(out[m.Dst], m.Val)
 	}
-	if b.spill != nil {
+	if b.spillN > 0 {
 		buf := make([]byte, b.spillN*recSize)
 		if err := b.spill.ReadAll(buf); err != nil {
 			return nil, err
@@ -237,10 +194,9 @@ func (b *Inbox) Drain() (map[graph.VertexID][]float64, error) {
 			val := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+4:]))
 			out[dst] = append(out[dst], val)
 		}
-		if err := b.spill.Close(); err != nil {
-			return nil, err
-		}
-		b.spill = nil
+	}
+	if err := b.spill.Close(); err != nil {
+		return nil, err
 	}
 	b.mem = b.mem[:0]
 	b.spillN = 0
@@ -258,7 +214,7 @@ func (b *Inbox) Pending() ([]comm.Msg, error) {
 	defer b.mu.Unlock()
 	out := make([]comm.Msg, len(b.mem), len(b.mem)+int(b.spillN))
 	copy(out, b.mem)
-	if b.spill != nil && b.spillN > 0 {
+	if b.spillN > 0 {
 		buf := make([]byte, b.spillN*recSize)
 		if err := b.spill.ReadAll(buf); err != nil {
 			return nil, err

@@ -11,16 +11,6 @@ import (
 	"hybridgraph/internal/graph"
 )
 
-// blockReader abstracts the Eblock file: a raw accounted File (codec
-// "none") or a compressed codec.BlockFile with identical logical
-// charges and physical frame I/O on the counter's twin.
-type blockReader interface {
-	ReadAtClass(p []byte, off int64, c diskio.Class) (int, error)
-	Size() (int64, error)
-	SetCounter(*diskio.Counter)
-	Close() error
-}
-
 const (
 	// FragAuxSize is the on-disk size of a fragment's auxiliary data
 	// (svertex id + clustered edge count), the paper's S_f.
@@ -50,7 +40,7 @@ type span struct {
 type Store struct {
 	layout *Layout
 	worker int
-	f      blockReader
+	f      *codec.BlockFile
 	buf    []byte // memory-resident Eblocks when f is nil
 	firstB int    // global id of first local block
 	nLocal int    // number of local blocks
@@ -69,27 +59,11 @@ func Build(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w in
 	if err != nil {
 		return nil, err
 	}
-	if !codec.IsNone(cdc) {
-		if err := codec.WriteBlockFile(path, ct, cdc, buf); err != nil {
-			return nil, err
-		}
-		bf, err := codec.OpenBlockFile(path, ct)
-		if err != nil {
-			return nil, err
-		}
-		s.f = bf
-		return s, nil
-	}
-	f, err := diskio.Create(path, ct)
-	if err != nil {
+	if err := codec.WriteBlockFile(path, ct, cdc, buf); err != nil {
 		return nil, err
 	}
-	s.f = f
-	if len(buf) > 0 {
-		if _, err := f.WriteAtClass(buf, 0, diskio.SeqWrite); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if s.f, err = codec.OpenBlockFile(path, ct, cdc); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -104,15 +78,9 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w int
 	if err != nil {
 		return nil, err
 	}
-	var f blockReader
-	var err2 error
-	if codec.IsNone(cdc) {
-		f, err2 = diskio.OpenRead(path, ct)
-	} else {
-		f, err2 = codec.OpenBlockFile(path, ct)
-	}
-	if err2 != nil {
-		return nil, err2
+	f, err := codec.OpenBlockFile(path, ct, cdc)
+	if err != nil {
+		return nil, err
 	}
 	size, err := f.Size()
 	if err != nil {
