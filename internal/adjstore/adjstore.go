@@ -142,8 +142,11 @@ func (s *Store) EdgeBytes(v graph.VertexID) (int64, error) {
 
 // Edges reads v's out-edges, appending to dst and returning it. Reads are
 // charged as sequential: push streams the edge file in vertex-id order, and
-// the paper's Eq. 11 accounts IO(Et) at sequential-read throughput.
-func (s *Store) Edges(v graph.VertexID, dst []graph.Half) ([]graph.Half, error) {
+// the paper's Eq. 11 accounts IO(Et) at sequential-read throughput. raw,
+// when non-nil, is the caller's scratch for the encoded run: it grows as
+// needed and is reused from call to call, so a scan reading edge run
+// after edge run allocates only when a run outgrows every earlier one.
+func (s *Store) Edges(v graph.VertexID, dst []graph.Half, raw *[]byte) ([]graph.Half, error) {
 	i, err := s.idx(v)
 	if err != nil {
 		return dst, err
@@ -151,11 +154,17 @@ func (s *Store) Edges(v graph.VertexID, dst []graph.Half) ([]graph.Half, error) 
 	if s.memG != nil {
 		return append(dst, s.memG.OutEdges(v)...), nil
 	}
-	length := s.offs[i+1] - s.offs[i]
+	length := int(s.offs[i+1] - s.offs[i])
 	if length == 0 {
 		return dst, nil
 	}
-	buf := make([]byte, length)
+	if raw == nil {
+		raw = new([]byte)
+	}
+	if cap(*raw) < length {
+		*raw = make([]byte, length)
+	}
+	buf := (*raw)[:length]
 	if _, err := s.f.ReadAtClass(buf, s.offs[i], diskio.SeqRead); err != nil {
 		return dst, err
 	}

@@ -46,7 +46,7 @@ func TestBuildAndReadEdges(t *testing.T) {
 	if got := ct.Bytes(diskio.SeqWrite); got != 7*edgeSize {
 		t.Fatalf("build wrote %d bytes, want %d", got, 7*edgeSize)
 	}
-	e, err := s.Edges(3, nil)
+	e, err := s.Edges(3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBuildAndReadEdges(t *testing.T) {
 	if d, _ := s.Degree(2); d != 0 {
 		t.Fatalf("Degree(2) = %d, want 0", d)
 	}
-	e, err = s.Edges(2, e[:0])
+	e, err = s.Edges(2, e[:0], nil)
 	if err != nil || len(e) != 0 {
 		t.Fatalf("Edges(2) = %v, %v; want empty", e, err)
 	}
@@ -77,7 +77,7 @@ func TestPartitionedStoreOnlyHoldsItsRange(t *testing.T) {
 	if s.NumEdges() != 4 { // edges of 3 and 5
 		t.Fatalf("NumEdges = %d, want 4", s.NumEdges())
 	}
-	if _, err := s.Edges(0, nil); err == nil {
+	if _, err := s.Edges(0, nil, nil); err == nil {
 		t.Fatal("Edges outside partition should fail")
 	}
 	if _, err := s.Degree(6); err == nil {
@@ -97,7 +97,7 @@ func TestBuildReverseHoldsInEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	in0, err := s.Edges(0, nil)
+	in0, err := s.Edges(0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReadAccountedSequential(t *testing.T) {
 	var err error
 	total := 0
 	for v := 0; v < 200; v++ {
-		e, err = s.Edges(graph.VertexID(v), e[:0])
+		e, err = s.Edges(graph.VertexID(v), e[:0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

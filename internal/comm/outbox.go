@@ -97,27 +97,6 @@ func (o *Outbox) Sent() int64 { return o.sent }
 // Flushes reports the number of packets sent.
 func (o *Outbox) Flushes() int64 { return o.flushes }
 
-// ShardThreshold partitions the sending threshold across the shards of a
-// parallel update scan: each shard stages at most its share of the 4 MB
-// budget before the shard buffers are merged, floored at one message so a
-// degenerate split can still form a packet. Partitioning (rather than
-// giving every shard the full threshold) keeps the aggregate staged bytes
-// within the sequential sender's budget, so packet counts and Eq. (7) net
-// bytes cannot drift from the Parallelism=1 run.
-func ShardThreshold(thresholdBytes int64, shards int) int64 {
-	if thresholdBytes <= 0 {
-		thresholdBytes = 4 << 20
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	t := thresholdBytes / int64(shards)
-	if t < MsgWireSize {
-		t = MsgWireSize
-	}
-	return t
-}
-
 // stageEntry is one deferred Outbox.Add.
 type stageEntry struct {
 	to int
@@ -138,18 +117,9 @@ type Stage struct {
 	entries []stageEntry
 }
 
-// NewStage returns a stage pre-sized for budgetBytes of staged messages
-// (see ShardThreshold); the stage grows past the budget rather than flush,
-// since flushing out of order is exactly what staging exists to prevent.
-func NewStage(budgetBytes int64) *Stage {
-	c := int(budgetBytes / MsgWireSize)
-	if c < 1 {
-		c = 1
-	}
-	return &Stage{entries: make([]stageEntry, 0, c)}
-}
-
-// Add stages one message for worker to.
+// Add stages one message for worker to. The stage grows as needed rather
+// than flush, since flushing out of order is exactly what staging exists
+// to prevent. The zero Stage is ready to use.
 func (s *Stage) Add(to int, m Msg) {
 	s.entries = append(s.entries, stageEntry{to: to, m: m})
 }
@@ -157,15 +127,20 @@ func (s *Stage) Add(to int, m Msg) {
 // Len reports the number of staged messages.
 func (s *Stage) Len() int { return len(s.entries) }
 
-// MergeInto replays the staged sends into o in staging order, releasing
-// the stage's memory. Threshold flushes fire during the replay exactly as
-// they would have during a sequential scan.
+// Reset drops any staged messages, keeping the backing array.
+func (s *Stage) Reset() { s.entries = s.entries[:0] }
+
+// MergeInto replays the staged sends into o in staging order and empties
+// the stage, keeping its backing array so a stage reused superstep after
+// superstep stops allocating once it has grown to its largest load.
+// Threshold flushes fire during the replay exactly as they would have
+// during a sequential scan.
 func (s *Stage) MergeInto(o *Outbox) error {
 	for _, e := range s.entries {
 		if err := o.Add(e.to, e.m); err != nil {
 			return err
 		}
 	}
-	s.entries = nil
+	s.Reset()
 	return nil
 }

@@ -36,10 +36,11 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 	hookFor := func(shard, shards int) updateHook {
 		var stage *comm.Stage
 		if outbox != nil {
-			stage = comm.NewStage(comm.ShardThreshold(w.job.cfg.SendThreshold, shards))
-			stages = append(stages, stage)
+			stage = w.sendStage(shard)
+			stages = w.stages[:shard+1]
 		}
 		scratch := make([]graph.Half, 0, 256)
+		var raw []byte
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
 			// Estimate push's IO(E^t) from the in-memory adjacency index when
 			// hybrid carries one (edges of every updated vertex).
@@ -59,8 +60,7 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 			if w.job.cfg.EdgesInMemory {
 				eb = 0
 			}
-			scratch = scratch[:0]
-			scratch, err = w.adj.Edges(v, scratch)
+			scratch, err = w.adj.Edges(v, scratch[:0], &raw)
 			if err != nil {
 				return err
 			}
@@ -89,7 +89,7 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 		}
 	}
 	runBlock := func(blo, bhi graph.VertexID, msgs map[graph.VertexID][]float64) error {
-		stages = stages[:0]
+		stages = nil
 		if err := w.updateBlock(t, blo, bhi, msgs, hookFor); err != nil {
 			return err
 		}
@@ -227,13 +227,17 @@ func (w *worker) pullBlock(t, b int) (map[graph.VertexID][]float64, int64, error
 // each local Vblock whose res indicator and destination bitmap allow it,
 // scan the Eblock toward the requested block; for each fragment whose
 // source vertex responded at t-1, random-read its broadcast value and
-// generate one message per clustered edge. The sending buffer BS is then
+// generate one message per clustered edge. The reads are charged one
+// broadcast column each but served from a one-page window held for the
+// whole request: fragment sources ascend across the scans, so each
+// vertex-file page is really read once. The sending buffer BS is then
 // concatenated (and combined when legal) before crossing the wire.
 func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	rp := readParity(step)
 	prog := w.job.prog
 	var out []comm.Msg
 	var produced, vrr, ebar, ft int64
+	win := w.vstore.Window()
 	for j := 0; j < w.ve.LocalBlocks(); j++ {
 		if !w.blockRes[rp][j].Load() || !w.ve.Meta(j).Bitmap.Get(reqBlock) {
 			continue
@@ -243,7 +247,7 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 				return nil
 			}
 			w.scanMu.Lock()
-			bcast, err := w.vstore.ReadBcastScan(src, rp, w.scanPages)
+			bcast, err := win.ReadBcast(src, rp, w.scanPages)
 			w.scanMu.Unlock()
 			if err != nil {
 				return err

@@ -375,12 +375,9 @@ func (c Config) validate(n int) error {
 	if c.PrefetchDepth < 0 {
 		return fmt.Errorf("core: negative PrefetchDepth")
 	}
-	// Parallelism/SendThreshold interaction: the parallel scan partitions
-	// the sender threshold across shards (comm.ShardThreshold, floored at
-	// one message per shard), so any threshold that can carry a message at
-	// all partitions cleanly. A threshold below one wire message cannot —
-	// even the sequential outbox would flush every Add — so reject it here
-	// rather than let packet accounting silently degenerate.
+	// A threshold below one wire message cannot carry a message at all —
+	// the outbox would flush every Add — so reject it here rather than let
+	// packet accounting silently degenerate.
 	if c.SendThreshold > 0 && c.SendThreshold < comm.MsgWireSize {
 		return fmt.Errorf("core: SendThreshold %d is smaller than one wire message (%d bytes)",
 			c.SendThreshold, comm.MsgWireSize)

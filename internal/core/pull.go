@@ -141,10 +141,10 @@ func (w *worker) GatherValues(ids []graph.VertexID, step int) ([]comm.GatherResu
 	var out []comm.GatherResult
 	var edges, produced int64
 	scratch := make([]graph.Half, 0, 128)
+	var raw []byte
 	for _, dst := range ids {
 		var err error
-		scratch = scratch[:0]
-		scratch, err = w.mirror.Edges(dst, scratch)
+		scratch, err = w.mirror.Edges(dst, scratch[:0], &raw)
 		if err != nil {
 			return nil, err
 		}
@@ -193,8 +193,7 @@ func (w *worker) scatterSignals(t int, v graph.VertexID) error {
 	if w.job.cfg.EdgesInMemory {
 		eb = 0
 	}
-	var scratch []graph.Half
-	scratch, err = w.adj.Edges(v, scratch)
+	scratch, err := w.adj.Edges(v, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -35,10 +35,11 @@ func (w *worker) stepPush(t int, produce bool) error {
 	hookFor := func(shard, shards int) updateHook {
 		var stage *comm.Stage
 		if outbox != nil {
-			stage = comm.NewStage(comm.ShardThreshold(w.job.cfg.SendThreshold, shards))
-			stages = append(stages, stage)
+			stage = w.sendStage(shard)
+			stages = w.stages[:shard+1]
 		}
 		scratch := make([]graph.Half, 0, 256)
+		var raw []byte
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
 			// Giraph loads a vertex together with its edges, so push reads the
 			// edge run of every *updated* vertex (the active set V_act), not
@@ -53,8 +54,7 @@ func (w *worker) stepPush(t int, produce bool) error {
 			if w.job.cfg.EdgesInMemory {
 				eb = 0
 			}
-			scratch = scratch[:0]
-			scratch, err = w.adj.Edges(v, scratch)
+			scratch, err = w.adj.Edges(v, scratch[:0], &raw)
 			if err != nil {
 				return err
 			}
@@ -123,6 +123,7 @@ func (w *worker) relaxAsync(t int) error {
 	ctx := w.job.ctx(t)
 	in := w.inboxes[writeParity(t+1)]
 	scratch := make([]graph.Half, 0, 256)
+	var raw []byte
 	for {
 		if in.Received() == 0 {
 			return nil
@@ -153,8 +154,7 @@ func (w *worker) relaxAsync(t int) error {
 			if err := w.vstore.WriteRecord(rec); err != nil {
 				return err
 			}
-			scratch = scratch[:0]
-			scratch, err = w.adj.Edges(v, scratch)
+			scratch, err = w.adj.Edges(v, scratch[:0], &raw)
 			if err != nil {
 				return err
 			}

@@ -72,13 +72,19 @@ type worker struct {
 	sendLog comm.Fabric
 
 	// scanPages tracks which vertex-file pages this superstep's
-	// Pull-Respond scans have already pulled in: the value columns of the
-	// worker's Vblocks are small and stay OS-cached for the duration of a
-	// superstep, so only the first touch of each page transfers (the
-	// block-locality VE-BLOCK is designed to create). Reset per superstep
-	// because the columns are rewritten.
+	// Pull-Respond scans have already been charged a device transfer for:
+	// the value columns of the worker's Vblocks are small and stay
+	// OS-cached for the duration of a superstep, so only the first touch
+	// of each page transfers (the block-locality VE-BLOCK is designed to
+	// create). Reset per superstep because the columns are rewritten.
+	// This is the cost model only; each request's real reads go through
+	// its own one-page vertexfile.Window.
 	scanMu    sync.Mutex
 	scanPages vertexfile.PageSet
+
+	// stages holds one send stage per update-scan shard, reused from
+	// superstep to superstep (see sendStage).
+	stages []*comm.Stage
 
 	mu   sync.Mutex // guards stat: RespondPull/Gather run on requester goroutines
 	stat workerStat
@@ -359,6 +365,18 @@ func (w *worker) bcastFor(ctx *algo.Context, v graph.VertexID, val float64, outd
 		return sb.BcastFrom(ctx, v, val, msgs)
 	}
 	return w.job.prog.Bcast(val, outdeg)
+}
+
+// sendStage returns the worker's send stage for update-scan shard, empty.
+// Stages keep their backing arrays, so a steady-state superstep stages
+// its sends without allocating.
+func (w *worker) sendStage(shard int) *comm.Stage {
+	for len(w.stages) <= shard {
+		w.stages = append(w.stages, &comm.Stage{})
+	}
+	st := w.stages[shard]
+	st.Reset()
+	return st
 }
 
 // updateHook runs for each vertex whose update executed, after its record

@@ -72,9 +72,13 @@ func TestDevBytesExplicitCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8)
-	if _, err := f.ReadAtClassDev(buf, 0, RandRead, 0); err != nil {
+	if _, err := f.ReadAtUncharged(buf, 0, RandRead); err != nil {
 		t.Fatal(err)
 	}
+	if ct.Ops(RandRead) != 0 {
+		t.Fatalf("uncharged read recorded %d ops", ct.Ops(RandRead))
+	}
+	f.ChargeDev(8, 0, RandRead, 0)
 	if ct.DevBytes(RandRead) != 0 || ct.Bytes(RandRead) != 8 {
 		t.Fatalf("explicit zero charge: dev %d logical %d",
 			ct.DevBytes(RandRead), ct.Bytes(RandRead))

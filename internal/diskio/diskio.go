@@ -355,13 +355,19 @@ func (af *File) ReadAtClass(p []byte, off int64, c Class) (int, error) {
 	return n, err
 }
 
-// ReadAtClassDev reads with an explicit class and an explicit device
-// charge. Callers that manage their own page locality (b-pull's Eblock
-// scans keep one Vblock's pages hot) use it to coalesce page transfers.
-func (af *File) ReadAtClassDev(p []byte, off int64, c Class, dev int64) (int, error) {
-	n, err := af.pread(p, off, c)
-	af.acct.chargeDev(int64(n), off, c, dev)
-	return n, err
+// ReadAtUncharged does the real read of ReadAtClass and charges nothing.
+// Callers that read in batches (a whole page for many small records)
+// charge each logical access separately through ChargeDev.
+func (af *File) ReadAtUncharged(p []byte, off int64, c Class) (int, error) {
+	return af.pread(p, off, c)
+}
+
+// ChargeDev charges an n-byte access of class c at off moving dev device
+// bytes, without doing any I/O. Callers that manage their own page
+// locality (b-pull's Eblock scans keep one Vblock's pages hot) use it to
+// coalesce page transfers.
+func (af *File) ChargeDev(n, off int64, c Class, dev int64) {
+	af.acct.chargeDev(n, off, c, dev)
 }
 
 // WriteAtClass writes with an explicit class.

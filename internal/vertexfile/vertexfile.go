@@ -153,9 +153,8 @@ func (s *Store) ReadBcast(v graph.VertexID, parity int) (float64, error) {
 		s.memMu.RUnlock()
 		return val, nil
 	}
-	var b [8]byte
-	off := int64(v-s.lo)*RecordSize + 16 + int64(parity&1)*8
-	if _, err := s.f.ReadAtClass(b[:], off, diskio.RandRead); err != nil {
+	var b [BcastSize]byte
+	if _, err := s.f.ReadAtClass(b[:], s.bcastOff(v, parity), diskio.RandRead); err != nil {
 		return 0, err
 	}
 	return float64FromBits(b[:]), nil
@@ -168,27 +167,87 @@ func (s *Store) ReadBcast(v graph.VertexID, parity int) (float64, error) {
 // that; accesses without one pay a full page each.
 type PageSet map[int64]bool
 
-// ReadBcastScan is ReadBcast with scan-local page accounting: the logical
-// cost is one broadcast column, the device cost one page per page not yet
-// in seen.
-func (s *Store) ReadBcastScan(v graph.VertexID, parity int, seen PageSet) (float64, error) {
-	if !s.Contains(v) {
-		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
+// devFor reports the device bytes a read of page costs under seen — a
+// whole page on first touch, nothing after — and marks it touched.
+func (seen PageSet) devFor(page int64) int64 {
+	if seen[page] {
+		return 0
 	}
+	seen[page] = true
+	return diskio.PageSize
+}
+
+// bcastOff is the file offset of v's broadcast column of parity.
+func (s *Store) bcastOff(v graph.VertexID, parity int) int64 {
+	return int64(v-s.lo)*RecordSize + 16 + int64(parity&1)*8
+}
+
+// Window is a one-page read window over a Store for one Pull-Respond
+// request. Each access is charged as its own random read of one
+// broadcast column — BcastSize logical bytes of RandRead, with a device
+// page on the first touch of its page in the caller's PageSet — through
+// the file's Accountant, in access order: the charges a per-access 8-byte
+// read would make. The real I/O is one read of the whole 4 KiB page
+// (clamped at the end of the file) each time an access leaves the page
+// the window holds, so a request whose sources ascend — as they do across
+// the Eblock scans of one request — reads each page once. A Window is not
+// safe for concurrent use.
+//
+// The window may serve a value read earlier in the request, so nothing
+// may change a broadcast column the window can hold while it is in use.
+// The engines keep that: within superstep t the only writes to the store
+// rewrite column t mod 2 (and copy the read column back unchanged), while
+// Pull-Respond reads column (t-1) mod 2; checkpoint restores and store
+// rebuilds run between supersteps, when no request is in flight.
+type Window struct {
+	s     *Store
+	page  int64 // page held in buf, or -1
+	valid int   // bytes of buf the last real read filled
+	buf   []byte
+	reads int // real reads made, for tests
+}
+
+// Window returns an empty read window over s.
+func (s *Store) Window() *Window { return &Window{s: s, page: -1} }
+
+// ReadBcast reads the broadcast column of parity for vertex v — the
+// per-svertex random read of IO(V_rr^t) — with scan-local page
+// accounting under seen.
+func (w *Window) ReadBcast(v graph.VertexID, parity int, seen PageSet) (float64, error) {
+	s := w.s
 	if s.mem != nil {
 		return s.ReadBcast(v, parity)
 	}
-	off := int64(v-s.lo)*RecordSize + 16 + int64(parity&1)*8
-	var dev int64
-	if page := off / diskio.PageSize; !seen[page] {
-		seen[page] = true
-		dev = diskio.PageSize
+	if !s.Contains(v) {
+		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
 	}
-	var b [8]byte
-	if _, err := s.f.ReadAtClassDev(b[:], off, diskio.RandRead, dev); err != nil {
-		return 0, err
+	off := s.bcastOff(v, parity)
+	page := off / diskio.PageSize
+	dev := seen.devFor(page)
+	at := int(off - page*diskio.PageSize)
+	if page != w.page || at+BcastSize > w.valid {
+		if err := w.load(page); err != nil && at+BcastSize > w.valid {
+			// Charge what an 8-byte read would have transferred before
+			// failing.
+			s.f.ChargeDev(int64(min(max(w.valid-at, 0), BcastSize)), off, diskio.RandRead, dev)
+			return 0, err
+		}
 	}
-	return float64FromBits(b[:]), nil
+	s.f.ChargeDev(BcastSize, off, diskio.RandRead, dev)
+	return float64FromBits(w.buf[at : at+BcastSize]), nil
+}
+
+// load really reads page into the window, uncharged.
+func (w *Window) load(page int64) error {
+	if w.buf == nil {
+		w.buf = make([]byte, diskio.PageSize)
+	}
+	start := page * diskio.PageSize
+	end := min(start+diskio.PageSize, int64(w.s.n)*RecordSize)
+	w.reads++
+	n, err := w.s.f.ReadAtUncharged(w.buf[:end-start], start, diskio.RandRead)
+	w.page, w.valid = page, n
+	return err
 }
 
 // WriteRecord random-writes one full record (the pull baseline's
